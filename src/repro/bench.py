@@ -12,7 +12,9 @@ per-invocation engine path (:mod:`repro.serve`, S8 -- a real daemon on
 an ephemeral port, signatures asserted identical to one-shot), and the
 partial-order reduction's schedule savings (:mod:`repro.engine.por`,
 S7 -- reduced vs full exploration on the unreduced readers/writers and
-bounded-buffer monitors), and writes the results as JSON.  The JSON file doubles as the committed regression
+bounded-buffer monitors), the stateful explorer's saved interpreter
+steps against the replay-every-node reference (S13), and writes the
+results as JSON.  The JSON file doubles as the committed regression
 baseline (``BENCH_checker.json``): when the output file already
 exists, the run first *gates* against it -- a gated workload whose
 ratio (compiled-vs-interpreted speedup, or full-vs-reduced schedule
@@ -614,6 +616,92 @@ def run_objects_bench(quick: bool = False,
     return results
 
 
+#: Minimum replay-every-node-vs-stateful interpreter-step ratio for
+#: the gated ``explore:*`` row -- an absolute floor asserted on every
+#: run.  Like the ``objects:*`` work ratios it is deterministic, so the
+#: baseline gate cannot flake on timers.
+EXPLORE_GATE_MIN = 8.0
+
+
+class _StepCounter:
+    """A program whose states count their ``step()`` calls.
+
+    Everything else a state offers -- enabled actions, computations,
+    the POR hooks, the builder the automaton monitor peeks at -- passes
+    through to the wrapped program's state untouched.
+    """
+
+    def __init__(self, program) -> None:
+        self.program = program
+        self.steps = 0
+
+    def initial_state(self) -> "_CountedState":
+        return _CountedState(self, self.program.initial_state())
+
+
+class _CountedState:
+    def __init__(self, counter: _StepCounter, state) -> None:
+        self._counter = counter
+        self._state = state
+
+    def step(self, action) -> None:
+        self._counter.steps += 1
+        self._state.step(action)
+
+    def __getattr__(self, name: str):
+        return getattr(self._state, name)
+
+
+def run_explore_bench() -> Dict[str, dict]:
+    """Stateful exploration against replay-every-node (S13).
+
+    ``explore:csp-rw-mutant`` (gated): interpreter ``step()`` calls of
+    :func:`repro.sim.scheduler.explore`, which carries each node's
+    state down the DFS, against
+    :func:`repro.fuzz.oracles.reference_explore`, which replays every
+    node from the initial state, on the ``csp-readers-writers
+    --mutant`` catalog case with partial-order reduction on (the
+    engine's default).  The two run sequences are asserted equal before
+    the ratio is reported; the ratio is deterministic and must clear
+    :data:`EXPLORE_GATE_MIN` on every run.  Wall times ride along as
+    context.
+    """
+    from .engine.por import AmpleSelector
+    from .fuzz.oracles import reference_explore
+    from .langs.csp import CspProgram, rw_csp_system
+    from .sim.scheduler import explore
+
+    def walk(explorer):
+        program = _StepCounter(
+            CspProgram(rw_csp_system(1, 2, writers_first=True)))
+        t0 = time.perf_counter()
+        runs = [(r.choices, r.computation.stable_fingerprint(),
+                 r.deadlocked, r.truncated)
+                for r in explorer(program, por=AmpleSelector())]
+        return time.perf_counter() - t0, runs, program.steps
+
+    stateful_s, stateful, stateful_steps = walk(explore)
+    reference_s, reference, reference_steps = walk(reference_explore)
+    assert stateful == reference, (
+        "explore:csp-rw-mutant: stateful run sequence differs from the "
+        "replay-every-node reference")
+    ratio = reference_steps / stateful_steps
+    assert ratio >= EXPLORE_GATE_MIN, (
+        f"explore:csp-rw-mutant: {ratio:.1f}x fewer steps is below the "
+        f"{EXPLORE_GATE_MIN:.0f}x floor")
+    return {
+        "explore:csp-rw-mutant": {
+            "gate": True,
+            "runs": len(stateful),
+            "reference_steps": reference_steps,
+            "stateful_steps": stateful_steps,
+            "reference_s": round(reference_s, 6),
+            "stateful_s": round(stateful_s, 6),
+            "speedup": round(ratio, 2),
+        },
+    }
+
+
 def compare_to_baseline(results: Dict[str, dict], baseline: dict,
                         tolerance: float = GATE_TOLERANCE) -> List[str]:
     """Regression messages for gated workloads present in both runs."""
@@ -665,6 +753,8 @@ def run_bench(quick: bool = False, json_path: Optional[str] = None,
         results.update(run_dfa_bench(quick=quick))
     if _suite_selected(only, "objects:"):
         results.update(run_objects_bench(quick=quick, repeats=repeats))
+    if _suite_selected(only, "explore:"):
+        results.update(run_explore_bench())
     if only is not None:
         results = {name: row for name, row in results.items()
                    if name.startswith(only)}
@@ -698,6 +788,12 @@ def run_bench(quick: bool = False, json_path: Optional[str] = None,
                   f"search {row['search_nodes']} nodes "
                   f"({row['search_s']:.6f}s, {row['ops']} op(s))   "
                   f"work ratio {row['speedup']}x{gated}", file=out)
+        elif "reference_steps" in row:
+            print(f"{name:18s} replay-every-node {row['reference_steps']} "
+                  f"steps ({row['reference_s']:.4f}s)   stateful "
+                  f"{row['stateful_steps']} steps "
+                  f"({row['stateful_s']:.4f}s)   work ratio "
+                  f"{row['speedup']}x{gated}", file=out)
         elif "verify_s" in row:
             print(f"{name:18s} verified {row['cases']} case(s) in "
                   f"{row['verify_s']:.4f}s{gated}", file=out)

@@ -6,7 +6,8 @@ computations, specifications, and programs (:mod:`.generators`,
 (:mod:`.oracles`) -- the strict-partial-order laws of ``⇒``, the
 history-lattice laws of Section 7, fingerprint relabeling invariance,
 composition/projection round-trips, lattice-vs-exact checker agreement,
-compiled and slice-routed checker agreement, replay determinism, and
+compiled and slice-routed checker agreement, replay determinism
+(stateful exploration against a replay-every-node reference), and
 the engine's serial == parallel == cached contract.  Failures are greedily shrunk and rendered as runnable pytest
 snippets (:mod:`.shrink`); :mod:`.runner` drives the loop behind the
 ``repro fuzz`` CLI subcommand.
@@ -30,6 +31,7 @@ from .oracles import (
     check_compose_laws,
     check_dfa_agrees,
     check_engine_agreement,
+    check_explore_agrees,
     check_fingerprint_laws,
     check_history_laws,
     check_modes_agree,
@@ -38,7 +40,9 @@ from .oracles import (
     check_slice_agrees,
     identity_correspondence,
     make_oracles,
+    monitor_factory_for,
     oracle_names,
+    reference_explore,
 )
 from .programs import (
     FORK_DROPS_ENABLES,
@@ -61,7 +65,8 @@ __all__ = [
     "check_order_laws", "check_history_laws", "check_fingerprint_laws",
     "check_compiled_agrees", "check_compose_laws", "check_modes_agree",
     "check_replay_determinism", "check_slice_agrees",
-    "check_dfa_agrees",
+    "check_dfa_agrees", "check_explore_agrees", "reference_explore",
+    "monitor_factory_for",
     "check_engine_agreement", "identity_correspondence",
     "FuzzProgram", "FuzzProgramSpec", "RecipeProgram",
     "FORK_DROPS_ENABLES", "fuzz_problem_spec", "fuzz_correspondence",

@@ -26,11 +26,20 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..core.checker import check_restriction
 from ..core.compose import parallel_compose, restrict_events, sequential_compose
 from ..core.computation import Computation
+from ..core.errors import RunCapExceeded
 from ..core.formula import Formula, Henceforth, Restriction
 from ..core.history import History, all_histories, maximal_history_sequences
 from ..engine import EngineConfig, run_verification
 from ..engine.por import AmpleSelector
-from ..sim.scheduler import explore, replay_prefix, run_random
+from ..sim.runtime import Run
+from ..sim.scheduler import (
+    DEFAULT_MAX_RUNS,
+    DEFAULT_MAX_STEPS,
+    explore,
+    replay_prefix,
+    replay_with_postponed,
+    run_random,
+)
 from ..verify.consistency import (
     OBJECT_TYPES,
     check_history_agreement,
@@ -473,6 +482,155 @@ def check_replay_determinism(
     return None
 
 
+def reference_explore(
+    program,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    max_runs: int = DEFAULT_MAX_RUNS,
+    por: Optional[object] = None,
+    dfa: Optional[object] = None,
+) -> Iterator[Run]:
+    """The explorer's reference: :func:`repro.sim.scheduler.explore`
+    with every DFS node replayed from a fresh initial state.
+
+    No state is ever stepped after the scheduler looked at it, so this
+    walk cannot see a hook (``enabled``, ``computation``, the POR
+    footprints) that mutates the state it is called on -- exactly what
+    :func:`check_explore_agrees` diffs the stateful explorer against.
+    Same bounds, selector and monitor arguments, same yield order,
+    same ``por.ample`` / ``dfa.advance`` call order; O(depth) replay
+    per node and one Python frame per step, so it is for oracle-sized
+    programs only.
+    """
+    produced = 0
+
+    def rec(choices: Tuple[int, ...], mnode) -> Iterator[Run]:
+        nonlocal produced
+        if por is None:
+            state = replay_prefix(program, choices)
+            postponed = None
+        else:
+            state, postponed = replay_with_postponed(program, choices)
+        actions = state.enabled()
+        if not actions or len(choices) >= max_steps:
+            produced += 1
+            if produced > max_runs:
+                raise RunCapExceeded(f"more than {max_runs} runs")
+            decided = mnode.decided if mnode is not None else ()
+            if actions:
+                yield Run(state.computation(), choices, truncated=True,
+                          blocked=tuple(str(a) for a in actions),
+                          decided=decided)
+            elif state.is_final():
+                yield Run(state.computation(), choices, decided=decided)
+            else:
+                yield Run(state.computation(), choices, deadlocked=True,
+                          decided=decided)
+            return
+        if mnode is not None:
+            mnode = dfa.advance(mnode, state, len(choices))
+        if por is None:
+            branches = range(len(actions))
+        else:
+            branches = por.ample(state, actions, postponed)
+        for i in branches:
+            yield from rec(choices + (i,), mnode)
+
+    return rec((), dfa.root() if dfa is not None else None)
+
+
+_RUN_FIELDS = ("choices", "fingerprint", "deadlocked", "truncated",
+               "blocked", "decided")
+
+
+def _run_fields(run: Run) -> Tuple:
+    return (run.choices, run.computation.stable_fingerprint(),
+            run.deadlocked, run.truncated, run.blocked, run.decided)
+
+
+def check_explore_agrees(
+    program,
+    max_steps: int = 400,
+    max_runs: int = 20_000,
+    monitor_factory: Optional[Callable[[], object]] = None,
+) -> Optional[str]:
+    """The stateful explorer against :func:`reference_explore`.
+
+    :func:`~repro.sim.scheduler.explore` keeps stepping the state it
+    called ``enabled()``, ``computation()`` and the POR hooks on, so a
+    hook that mutates its state changes the runs it yields.  With
+    partial-order reduction off, on, and (given ``monitor_factory``)
+    with the automaton monitor on, both explorers must yield the same
+    run sequence, field by field -- choices, fingerprint, deadlock and
+    truncation flags, blocked actions, early verdicts -- and leave the
+    selector's and the monitor's counters equal.  Every run must also
+    replay through ``replay_prefix`` to its own fingerprint.
+    """
+    modes = [("plain", None, None), ("por", AmpleSelector, None)]
+    if monitor_factory is not None:
+        modes.append(("dfa", None, monitor_factory))
+
+    def counters(por, dfa) -> Tuple:
+        out: Tuple = ()
+        if por is not None:
+            out += (por.nodes, por.reduced_nodes, por.pruned,
+                    por.proviso_expansions)
+        if dfa is not None:
+            out += (dfa.cuts, dfa.accepts, dfa.probes)
+        return out
+
+    for mode, make_por, make_dfa in modes:
+        sides = []
+        for walk in (explore, reference_explore):
+            por = make_por() if make_por is not None else None
+            dfa = make_dfa() if make_dfa is not None else None
+            try:
+                runs = [_run_fields(r) for r in walk(
+                    program, max_steps=max_steps, max_runs=max_runs,
+                    por=por, dfa=dfa)]
+            except RunCapExceeded:
+                runs = None
+            sides.append((runs, counters(por, dfa)))
+        (got, got_counts), (ref, ref_counts) = sides
+        if got != ref:
+            if got is None or ref is None:
+                return (f"explore ({mode}) hit the run cap on one side "
+                        f"only: stateful {'capped' if got is None else 'ok'}"
+                        f", reference {'capped' if ref is None else 'ok'}")
+            for k, (a, b) in enumerate(zip(got, ref)):
+                if a != b:
+                    field_name, x, y = next(
+                        (f, x, y) for f, x, y in zip(_RUN_FIELDS, a, b)
+                        if x != y)
+                    return (f"explore ({mode}) diverged from the "
+                            f"replay-every-node reference at run {k} "
+                            f"({b[0]}): {field_name} {x!r} vs {y!r}")
+            return (f"explore ({mode}) yielded {len(got)} run(s), the "
+                    f"reference {len(ref)}")
+        if got_counts != ref_counts:
+            return (f"explore ({mode}) left counters {got_counts}, the "
+                    f"reference {ref_counts}")
+        for choices, fp, *_rest in got or ():
+            if replay_prefix(program, choices).computation() \
+                    .stable_fingerprint() != fp:
+                return (f"run {choices} ({mode}) does not replay to its "
+                        "own computation")
+    return None
+
+
+def monitor_factory_for(problem_spec, correspondence=None
+                        ) -> Optional[Callable[[], object]]:
+    """A factory of fresh automaton monitors for ``problem_spec``, as
+    the engine builds them, or ``None`` when no restriction compiles to
+    a monitorable automaton."""
+    from ..core.automata import AutomatonMonitor, automata_plan_for
+
+    plan = automata_plan_for(problem_spec)
+    if not plan.monitorable:
+        return None
+    return lambda: AutomatonMonitor(plan, problem_spec,
+                                    correspondence=correspondence)
+
+
 def _diff_signatures(name_a: str, sig_a: Tuple, name_b: str, sig_b: Tuple) -> str:
     fields = ("problem", "exhaustive", "runs", "deadlocks", "truncated",
               "distinct", "verdicts", "program-spec-failures",
@@ -779,7 +937,9 @@ class CheckerArtifact:
 
 @dataclass(frozen=True)
 class ReplayArtifact:
-    """A (program case, seed) pair for the replay-determinism oracle."""
+    """A (program case, seed) pair for the replay-determinism oracle:
+    seeded-run replay, then the whole exploration of the case against
+    :func:`reference_explore`."""
 
     case: str
     seed: int
@@ -799,6 +959,32 @@ class ReplayArtifact:
             from ..langs.ada import AdaProgram, one_slot_buffer_ada_system
             return AdaProgram(one_slot_buffer_ada_system(items=(1, 2)))
         raise ValueError(f"unknown replay case {self.case!r}")
+
+    def monitor_factory(self) -> Optional[Callable[[], object]]:
+        """Automaton monitors over the case's problem spec, for the
+        monitored leg of :func:`check_explore_agrees`."""
+        if self.case == "fuzz":
+            assert self.spec is not None
+            return monitor_factory_for(dfa_problem_spec(self.spec))
+        from ..problems import one_slot_buffer as osb
+
+        if self.case == "monitor":
+            return monitor_factory_for(osb.one_slot_buffer_spec(),
+                                       osb.monitor_correspondence("osb"))
+        if self.case == "csp":
+            return monitor_factory_for(
+                osb.one_slot_buffer_spec(temporal_safety=False),
+                osb.csp_correspondence())
+        if self.case == "ada":
+            return monitor_factory_for(osb.one_slot_buffer_spec(),
+                                       osb.ada_correspondence())
+        raise ValueError(f"unknown replay case {self.case!r}")
+
+    def check(self) -> Optional[str]:
+        program = self.program()
+        return (check_replay_determinism(program, self.seed)
+                or check_explore_agrees(
+                    program, monitor_factory=self.monitor_factory()))
 
 
 # ---------------------------------------------------------------------------
@@ -945,9 +1131,10 @@ def make_oracles(jobs: int = 2) -> Dict[str, Oracle]:
         Oracle(
             "replay-determinism",
             "seeded runs and prefix replay reproduce byte-identical "
-            "computations",
+            "computations; stateful exploration == replay-every-node "
+            "reference",
             gen_replay,
-            lambda art: check_replay_determinism(art.program(), art.seed),
+            lambda art: art.check(),
         ),
         Oracle(
             "engine-differential",

@@ -14,15 +14,19 @@ interleaving explorer (:mod:`repro.sim.scheduler`):
   whether it is final (no process will ever move again);
 * the scheduler explores the tree of choices.
 
-States are advanced by *replay*: the explorer never snapshots a state,
-it re-executes a prefix of choices from a fresh state.  That keeps
-interpreters free to use ordinary mutable Python objects, at the cost of
-O(depth) re-execution per branch point -- a fine trade for the model
-sizes bounded checking needs (DESIGN.md §5).
+The explorer never copies a state.  It carries each node's live state
+down the DFS: a node's last child steps its parent's state in place
+(the parent is never looked at again), and every earlier sibling
+re-executes its choice prefix from a fresh ``initial_state()``.  That
+keeps interpreters free to use ordinary mutable Python objects, and a
+forced step -- most of the tree -- costs one interpreter step rather
+than a replay of its whole prefix.
 
-The contract that makes replay sound: ``enabled()`` must be
+The contract that makes this sound: ``enabled()`` must be
 *deterministic* (same state history, same action list in the same
-order), and ``step(choice)`` must be deterministic given the choice.
+order), ``step(choice)`` must be deterministic given the choice, and
+nothing but ``step()`` may change what later steps do (see
+:class:`SimState`).
 """
 
 from __future__ import annotations
@@ -128,6 +132,16 @@ class SimState(Protocol):
     * two enabled actions with non-conflicting footprints commute to
       the *same* computation (identical partial order, hence identical
       ``stable_fingerprint``).
+
+    Only ``step()`` may change the state.  ``enabled()``,
+    ``is_final()``, ``computation()`` and the POR hooks are queries:
+    the explorer calls them on a node's state and then keeps stepping
+    that same state for the node's last child, so a query that mutates
+    it (records an event, advances a cursor) would change what later
+    ``step()`` calls do, and the runs would no longer replay through
+    :func:`repro.sim.scheduler.replay_prefix`.  The replay-determinism
+    fuzz oracle diffs the explorer against a reference that replays
+    every node from scratch, which such a query cannot fool.
     """
 
     def enabled(self) -> Sequence[Action]:

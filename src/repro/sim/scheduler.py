@@ -13,8 +13,11 @@ quantification, bounded:
 * :func:`explore_or_sample` -- exhaustive if the run cap suffices, else
   sampled (reported in the result).
 
-Replay discipline: the explorer re-executes prefixes from fresh states
-(see :mod:`repro.sim.runtime`), so interpreters may mutate freely.
+State discipline: the explorer carries each node's live state down
+the DFS and steps it in place for the node's last child; earlier
+siblings replay their prefix from a fresh state (see
+:mod:`repro.sim.runtime`).  Interpreters may mutate freely in
+``step()``, and nowhere else.
 
 Fairness.  A *maximal* run (no enabled action at the end, state final)
 trivially satisfies weak fairness: nothing enabled remains unscheduled.
@@ -40,13 +43,20 @@ DEFAULT_MAX_STEPS = 10_000
 DEFAULT_MAX_RUNS = 100_000
 
 
-def replay_prefix(program: Program, choices: Sequence[int]) -> SimState:
-    """Fresh state advanced through ``choices``.
+def replay_prefix(program: Program, choices: Sequence[int],
+                  state: Optional[SimState] = None) -> SimState:
+    """``state`` advanced through ``choices``, in place, and returned.
 
-    The engine's frontier sharding replays choice prefixes to split the
-    exploration tree, so this is public API, not just an explorer detail.
+    ``state`` defaults to a fresh ``program.initial_state()``.  Every
+    interpreter step the explorer takes goes through here (or through
+    :func:`replay_with_postponed`): from the initial state for a
+    sibling branch, from the parent's live state for a node's last
+    child.  The engine's frontier sharding replays choice prefixes to
+    split the exploration tree, so this is public API, not just an
+    explorer detail.
     """
-    state = program.initial_state()
+    if state is None:
+        state = program.initial_state()
     for choice in choices:
         actions = state.enabled()
         state.step(actions[choice])
@@ -57,19 +67,25 @@ def replay_prefix(program: Program, choices: Sequence[int]) -> SimState:
 _replay = replay_prefix
 
 
-def replay_with_postponed(program: Program, choices: Sequence[int]):
+def replay_with_postponed(program: Program, choices: Sequence[int],
+                          state: Optional[SimState] = None,
+                          postponed: Optional[dict] = None):
     """Like :func:`replay_prefix`, also tracking the partial-order
     reduction's postponement counters along the path.
 
     Returns ``(state, postponed)`` where ``postponed`` maps each
     process with an enabled action at the resulting state's history to
-    how many consecutive preceding steps it was passed over.  Counters
+    how many consecutive preceding steps it was passed over.  A given
+    ``state`` must come with the counters of the path that reached it
+    (``postponed``; default: none, as at the initial state).  Counters
     depend only on the choice path (never on ample decisions), so any
     replayer -- the shard planner, a worker resuming a prefix --
     reconstructs them identically.
     """
-    state = program.initial_state()
-    postponed: dict = {}
+    if state is None:
+        state = program.initial_state()
+    if postponed is None:
+        postponed = {}
     for choice in choices:
         actions = state.enabled()
         chosen = actions[choice]
@@ -116,15 +132,35 @@ def explore(
     """
     if max_steps < 1:
         raise VerificationError("max_steps must be positive")
-    produced = 0
+    root = dfa.root() if dfa is not None else None
+    return _dfs(program, max_steps, max_runs, tuple(prefix), por, dfa, root)
 
-    def rec(choices: Tuple[int, ...], mnode) -> Iterator[Run]:
-        nonlocal produced
-        if por is None:
-            state = replay_prefix(program, choices)
-            postponed = None
-        else:
-            state, postponed = replay_with_postponed(program, choices)
+
+def _dfs(program: Program, max_steps: int, max_runs: int,
+         choices: Tuple[int, ...], por, dfa, mnode) -> Iterator[Run]:
+    """The walk behind :func:`explore`, on an explicit stack (a run may
+    be :data:`DEFAULT_MAX_STEPS` deep, far past Python's recursion
+    limit).
+
+    Each node's live state is carried down: the last child of a node --
+    every forced step among them -- advances its parent's state in
+    place, since the parent is never looked at again; earlier siblings
+    replay their prefix from the initial state.  Both go through the
+    replay helpers, one choice at a time for the in-place case.
+    """
+    if por is None:
+        def advance(path, state=None, postponed=None):
+            return replay_prefix(program, path, state), None
+    else:
+        def advance(path, state=None, postponed=None):
+            return replay_with_postponed(program, path, state, postponed)
+
+    produced = 0
+    state, postponed = advance(choices)
+    # one frame per node with children left to explore:
+    # [choices, state, postponed, monitor node, branches, next position]
+    stack: List[list] = []
+    while True:
         actions = state.enabled()
         if not actions or len(choices) >= max_steps:
             produced += 1
@@ -143,20 +179,31 @@ def explore(
             else:
                 yield Run(state.computation(), choices, deadlocked=True,
                           decided=decided)
-            return
-        # probe only at internal nodes: a leaf's "prefix" is the full
-        # computation, which the checker is about to examine anyway
-        if mnode is not None:
-            mnode = dfa.advance(mnode, state, len(choices))
-        if por is None:
-            branches = range(len(actions))
         else:
-            branches = por.ample(state, actions, postponed)
-        for i in branches:
-            yield from rec(choices + (i,), mnode)
-
-    root = dfa.root() if dfa is not None else None
-    return rec(tuple(prefix), root)
+            # probe only at internal nodes: a leaf's "prefix" is the full
+            # computation, which the checker is about to examine anyway
+            if mnode is not None:
+                mnode = dfa.advance(mnode, state, len(choices))
+            if por is None:
+                branches = range(len(actions))
+            else:
+                branches = por.ample(state, actions, postponed)
+            if branches:
+                stack.append([choices, state, postponed, mnode, branches, 0])
+        # descend into the deepest frame's next child; its last child
+        # pops the frame and steps the parent's state in place
+        if not stack:
+            return
+        frame = stack[-1]
+        parent_choices, parent, parent_postponed, mnode, branches, pos = frame
+        i = branches[pos]
+        choices = parent_choices + (i,)
+        if pos + 1 < len(branches):
+            frame[5] = pos + 1
+            state, postponed = advance(choices)
+        else:
+            stack.pop()
+            state, postponed = advance((i,), parent, parent_postponed)
 
 
 def run_random(

@@ -43,6 +43,7 @@ from repro.fuzz import (
     FuzzProgramSpec,
     check_compose_laws,
     check_engine_agreement,
+    check_explore_agrees,
     check_fingerprint_laws,
     check_history_laws,
     check_modes_agree,
@@ -344,6 +345,30 @@ class TestKilledMutants:
             for seed in range(10)
         }
         assert messages != {None}
+
+    def test_replay_oracle_kills_mutating_por_hook(self):
+        from repro.fuzz.programs import FuzzState
+
+        class PeekingState(FuzzState):
+            """A footprint hook that records each query as an event:
+            the planted defect.  Harmless to an explorer that never
+            steps a state after inspecting it; the stateful explorer
+            keeps stepping it, so its runs carry the probe events."""
+
+            def por_action_footprint(self, action):
+                self.emit(None, "Probe", "Peek", {"of": action.process})
+                return super().por_action_footprint(action)
+
+        spec = FuzzProgramSpec(procs=(2, 2), deps=((0, 1, 1, 0),))
+
+        class PeekingProgram:
+            def initial_state(self):
+                return PeekingState(spec)
+
+        message = check_explore_agrees(PeekingProgram())
+        assert message is not None
+        assert "(por)" in message
+        assert check_explore_agrees(FuzzProgram(spec)) is None
 
     @needs_fork
     def test_engine_oracle_kills_fork_divergent_program(self):

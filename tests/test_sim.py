@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ComputationBuilder
 from repro.core.errors import VerificationError
+from repro.problems.ring import RingProgram
 from repro.sim import (
     Action,
     ExplorationResult,
@@ -117,6 +118,23 @@ class TestExplore:
         assert "completed" in run.describe()
         assert "1 steps" in run.describe()
 
+    def test_deep_run_does_not_recurse(self):
+        # 2,000 steps is far past Python's recursion limit but well
+        # inside DEFAULT_MAX_STEPS; the DFS keeps its path on a stack
+        program = RingProgram(workers=1, rounds=2000)
+        (run,) = explore(program)
+        assert run.completed and len(run.choices) == 2000
+        walk = run_random(program, seed=0)
+        assert run.choices == walk.choices
+        assert (run.computation.stable_fingerprint()
+                == walk.computation.stable_fingerprint())
+
+    def test_deep_run_truncates_at_max_steps(self):
+        (run,) = explore(RingProgram(workers=1, rounds=2000),
+                         max_steps=1500)
+        assert run.truncated and len(run.choices) == 1500
+        assert run.blocked
+
 
 class TestRandomRuns:
     def test_deterministic_per_seed(self):
@@ -181,3 +199,44 @@ class TestExploreOrSample:
         assert len(result.completed_runs) == 1
         assert len(result.deadlocked_runs) == 1
         assert len(result.truncated_runs) == 1
+
+
+# -- stateful exploration == the replay-every-node reference ---------------
+
+#: left out of the tier-1 diff: without partial-order reduction, and
+#: on the reference side, these take tens of seconds to minutes each
+_HEAVY = ("monitor-readers-writers", "csp-readers-writers",
+          "ada-readers-writers", "monitor-tally-mesa")
+
+
+def _light_catalog_keys():
+    from repro.cli import _NO_MUTANT, _build_cases
+
+    return [(name, mutant) for name in sorted(_build_cases())
+            if name not in _HEAVY
+            for mutant in (False, True)
+            if not (mutant and name in _NO_MUTANT)]
+
+
+@pytest.mark.parametrize("name,mutant", _light_catalog_keys())
+def test_explore_matches_reference_on_catalog(name, mutant):
+    # same run sequence, field by field, with POR off, on, and the
+    # automaton monitor on; every run replays to its own computation
+    from repro.cli import _build_cases
+    from repro.fuzz import check_explore_agrees, monitor_factory_for
+
+    program, problem_spec, correspondence, _ = _build_cases()[name](mutant)
+    assert check_explore_agrees(
+        program, max_steps=10_000, max_runs=200_000,
+        monitor_factory=monitor_factory_for(problem_spec,
+                                            correspondence)) is None
+
+
+def test_explore_bench_row_counts_saved_steps():
+    # the gated bench row's work counts are deterministic: pin them
+    from repro.bench import EXPLORE_GATE_MIN, run_explore_bench
+
+    row = run_explore_bench()["explore:csp-rw-mutant"]
+    assert (row["reference_steps"], row["stateful_steps"]) == (48246, 3960)
+    assert row["runs"] == 132
+    assert row["speedup"] >= EXPLORE_GATE_MIN
